@@ -55,27 +55,6 @@ class SmallSignalSystem:
     def solve_at(self, freq_hz: float) -> np.ndarray:
         return self.factorized_at(freq_hz).solve(self.b_ac)
 
-    def transfer_from_current(self, inject_plus: str, inject_minus: str,
-                              out: str, freq_hz: float) -> complex:
-        """V(out) per unit AC current injected between two nets.
-
-        Used by the noise analysis; solves the adjoint system through
-        the per-frequency factorization cache, so all injection
-        transfers at one frequency genuinely share a single
-        factorization (the seed code claimed this but re-built and
-        re-factored ``G + sC`` on every call).
-        """
-        e = np.zeros(self.system.size, dtype=complex)
-        iout = self.node(out)
-        if iout < 0:
-            return 0.0 + 0.0j
-        e[iout] = 1.0
-        z = self.factorized_at(freq_hz).solve_transpose(e)
-        ip, im = self.node(inject_plus), self.node(inject_minus)
-        zp = z[ip] if ip >= 0 else 0.0
-        zm = z[im] if im >= 0 else 0.0
-        return complex(zp - zm)
-
 
 def small_signal_system(circuit: Circuit,
                         op: OperatingPoint | None = None) -> SmallSignalSystem:

@@ -16,14 +16,16 @@ kernel:
   duplicate indices sequentially and the entries are emitted k-major /
   stamp-order-minor.
 * :func:`batched_dc` / :func:`batched_ac` / :func:`batched_transient` /
-  :func:`batched_noise` — linear analyses as batched dense LU
-  (:func:`~repro.analysis.mna.solve_dense_batched`) over the stacked axis.
+  :func:`batched_noise` — linear analyses as stacked dense LU over the
+  batch axis (:func:`~repro.analysis.solver.factorize_stack`, the same
+  ``getrf``/``getrs`` primitive every scalar dense solve uses).
   Nonlinear members keep their per-member Newton (``analysis.dcop``) and
   only the linear(ized) sweeps are stacked.
 * :func:`run_batch` — the dispatch front door mirroring
-  :func:`repro.analysis.api.run`: takes one spec and K circuits, batches
-  what it can, and falls back to the per-point scalar path for everything
-  else (nonlinear DC/transient, warm starts, shared ``op``/``ss`` objects,
+  :func:`repro.analysis.api.run`: takes one spec and K circuits, checks
+  their shared topology once through the plan, batches what it can, and
+  falls back to the per-point scalar path for everything else
+  (nonlinear DC/transient, warm starts, shared ``op``/``ss`` objects,
   singular members) with ``kernel.fallback.<kind>`` counters explaining
   every non-vectorized evaluation.
 
@@ -31,9 +33,13 @@ Numerical contract (enforced by ``tests/test_batch_kernels.py``):
 
 * assembled stamps are **bitwise identical** to ``MnaSystem.linear_stamps``;
 * a singleton batch delegates to the scalar path and is **bit-identical**;
-* K >= 2 batched results match scalar results to rtol 1e-9 — the batched
-  LAPACK ``gesv`` stack and the scalar scipy LU factorizations are not
-  bit-equal, so exact equality is deliberately *not* promised there.
+* K >= 2 batched DC, AC and noise results are **bitwise identical** to
+  the scalar ones: every stack member is factored and solved by its own
+  call of the LAPACK routines the scalar path calls
+  (:class:`~repro.analysis.solver.DenseLU`), so the equality holds on any
+  BLAS build and at any thread count;
+* K >= 2 transient trajectories match to rtol 1e-6 — the stacked
+  integrator accumulates its history terms in a different order.
 """
 
 from __future__ import annotations
@@ -45,12 +51,7 @@ import numpy as np
 
 from repro.analysis.ac import AcResult, small_signal_system
 from repro.analysis.dcop import ConvergenceError, OperatingPoint, _converged
-from repro.analysis.mna import (
-    GMIN_DEFAULT,
-    BatchSingularError,
-    MnaSystem,
-    solve_dense_batched,
-)
+from repro.analysis.mna import GMIN_DEFAULT, BatchSingularError, MnaSystem
 from repro.analysis.noise import (
     FOUR_KT,
     NoiseContribution,
@@ -58,8 +59,10 @@ from repro.analysis.noise import (
     _const_psd,
     _noise_injections,
 )
+from repro.analysis.solver import DenseLU, factorize_stack, solve_stack
 from repro.analysis.transient import (
     TransientResult,
+    _rhs_at_time,
     _source_at_time_zero,
 )
 from repro.circuits.devices import (
@@ -154,7 +157,6 @@ class StampPlan:
     def __init__(self, circuit: Circuit, gmin: float = GMIN_DEFAULT):
         system = MnaSystem(circuit, gmin=gmin)
         self.system = system
-        self.signature = topology_signature(circuit)
         self.size = system.size
         self.n_nodes = len(system.node_names)
         self.gmin = gmin
@@ -166,6 +168,9 @@ class StampPlan:
                          "b_dc": ([], [], []), "b_ac": ([], [], [])}
         for dev in system.circuit.devices:
             self._plan_device(dev, system)
+        # (device index, attribute) of every parameter, in slot order.
+        self._param_refs = [(i, attr) for i, entry in enumerate(self._schema)
+                            for attr in entry[4]]
         # Freeze to index arrays for np.add.at.
         self._mat = {}
         for key in ("G", "C"):
@@ -293,21 +298,19 @@ class StampPlan:
             raise BatchTopologyError(
                 f"candidate has {len(devices)} devices, plan topology has "
                 f"{len(self._schema)}")
-        out = np.empty(self.n_params)
-        i = 0
-        for dev, (cls, name, nodes, control, attrs) in zip(
-                devices, self._schema):
+        for dev, (cls, name, nodes, control, _) in zip(devices,
+                                                        self._schema):
+            # Only controlled sources carry a control name; the class
+            # check covers the rest.
             if (type(dev).__name__ != cls or dev.name != name
                     or tuple(dev.nodes) != nodes
-                    or (getattr(dev, "control", "") or "") != control):
+                    or (control and dev.control != control)):
                 raise BatchTopologyError(
                     f"device {dev.name!r} ({type(dev).__name__} on "
                     f"{dev.nodes}) does not match plan device {name!r} "
                     f"({cls} on {nodes})")
-            for attr in attrs:
-                out[i] = float(getattr(dev, attr))
-                i += 1
-        return out
+        return np.array([getattr(devices[i], attr)
+                         for i, attr in self._param_refs], dtype=float)
 
     def param_block(self, circuits) -> np.ndarray:
         """Stacked ``(K, P)`` parameter block for a list of candidates."""
@@ -372,14 +375,6 @@ class StampPlan:
         _count("kernel.assemblies")
         return G, C, b_dc, b_ac
 
-    def stamps_for(self, circuit: Circuit
-                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Scalar-shaped ``(G, C, b_dc, b_ac)`` of one candidate via the
-        plan — the K=1 slice of :meth:`assemble`, used by the
-        conformance tests against ``linear_stamps``."""
-        G, C, b_dc, b_ac = self.assemble(self.extract_params(circuit)[None])
-        return G[0], C[0], b_dc[0], b_ac[0]
-
     # -- packaging -----------------------------------------------------
     def package_op(self, x: np.ndarray) -> OperatingPoint:
         system = self.system
@@ -395,6 +390,16 @@ class StampPlan:
 # Batched analyses
 # ----------------------------------------------------------------------
 
+def _planned(circuits: list, plan: StampPlan | None,
+             gmin: float = GMIN_DEFAULT) -> tuple[StampPlan, np.ndarray]:
+    """The batch's plan (built from the first member unless given) and
+    its ``(K, P)`` parameter block — extracting the parameters is what
+    checks every member against the plan's topology."""
+    if plan is None:
+        plan = StampPlan(circuits[0], gmin=gmin)
+    return plan, plan.param_block(circuits)
+
+
 def _require_linear(plan: StampPlan, what: str) -> None:
     if plan.nonlinear:
         raise BatchTopologyError(
@@ -402,8 +407,8 @@ def _require_linear(plan: StampPlan, what: str) -> None:
             f"use run_batch for automatic scalar fallback")
 
 
-def _solve_stack(A: np.ndarray, b: np.ndarray) -> np.ndarray:
-    x = solve_dense_batched(A, b)
+def _solve_stack(lu: DenseLU, b: np.ndarray, trans: str = "N") -> np.ndarray:
+    x = solve_stack(lu, b, trans)
     _count("kernel.batched_solves")
     return x
 
@@ -414,36 +419,41 @@ def batched_dc(circuits, gmin: float = GMIN_DEFAULT,
 
     Linear DC is one direct solve per member (the scalar damped-Newton
     ramp converges onto exactly this solution), so the whole batch is a
-    single LAPACK call.  Nonlinear topologies raise
-    :class:`BatchTopologyError` — :func:`run_batch` catches that and runs
-    the scalar path per member.
+    single stacked solve.  Nonlinear topologies raise
+    :class:`BatchTopologyError` — :func:`run_batch` runs the scalar path
+    per member for them instead.
     """
-    circuits = list(circuits)
-    if plan is None:
-        plan = StampPlan(circuits[0], gmin=gmin)
+    return _dc(*_planned(list(circuits), plan, gmin))
+
+
+def _dc(plan: StampPlan, params: np.ndarray) -> list[OperatingPoint]:
     _require_linear(plan, "batched_dc")
-    G, _, b_dc, _ = plan.assemble(plan.param_block(circuits))
-    X = _solve_stack(G, b_dc)
-    return [plan.package_op(X[k]) for k in range(len(circuits))]
+    G, _, b_dc, _ = plan.assemble(params)
+    return [plan.package_op(x)
+            for x in _solve_stack(factorize_stack(G), b_dc)]
 
 
-def _stacked_linearization(circuits, ops, plan: StampPlan | None):
-    """(G, C, b_ac, system) stacks: plan-assembled for linear topologies,
-    per-member :func:`small_signal_system` (bitwise equal to the scalar
-    AC path's matrices) when MOS/diode linearization is needed."""
-    circuits = list(circuits)
-    if plan is None:
-        plan = StampPlan(circuits[0])
-    if not plan.nonlinear and ops is None:
-        G, C, _, b_ac = plan.assemble(plan.param_block(circuits))
-        return G, C, b_ac, plan.system
+def _stacked_linearization(circuits, ops, plan, params):
+    """``(G, C, b_ac, system, sss)`` stacks for the small-signal analyses.
+
+    Without supplied ``ops`` a linear topology is plan-assembled (the
+    plan checking every member first unless ``params`` are given) and
+    ``sss`` is None; otherwise every member is linearized by
+    :func:`small_signal_system` — bitwise the scalar AC path's matrices
+    — and ``sss`` lists those systems.
+    """
     if ops is None:
+        if params is None:
+            plan, params = _planned(circuits, plan)
+        if not plan.nonlinear:
+            G, C, _, b_ac = plan.assemble(params)
+            return G, C, b_ac, plan.system, None
         ops = [None] * len(circuits)
     sss = [small_signal_system(c, op) for c, op in zip(circuits, ops)]
     G = np.stack([ss.G for ss in sss])
     C = np.stack([ss.C for ss in sss])
     b_ac = np.stack([ss.b_ac for ss in sss])
-    return G, C, b_ac, sss[0].system
+    return G, C, b_ac, sss[0].system, sss
 
 
 def batched_ac(circuits, freqs, ops=None,
@@ -451,18 +461,23 @@ def batched_ac(circuits, freqs, ops=None,
     """Stacked AC sweep: one ``(K, n, n)`` solve per frequency.
 
     ``ops`` (optional, one per member) supplies precomputed operating
-    points for nonlinear circuits; without it each member solves its own
-    scalar DC first — the batching win is the sweep itself, which costs
-    ``len(freqs)`` LAPACK calls total instead of K·len(freqs).
+    points for nonlinear circuits; without it each nonlinear member
+    solves its own scalar DC first — the batching win is the sweep
+    itself, which costs ``len(freqs)`` stacked solves instead of
+    K·len(freqs) scalar ones.
     """
-    circuits = list(circuits)
+    return _ac(list(circuits), freqs, ops, plan, None)
+
+
+def _ac(circuits, freqs, ops, plan, params) -> list[AcResult]:
     freqs = np.asarray(freqs, dtype=float)
-    G, C, b_ac, system = _stacked_linearization(circuits, ops, plan)
+    G, C, b_ac, system, _ = _stacked_linearization(circuits, ops, plan,
+                                                   params)
     K, n_nodes = len(circuits), len(system.node_names)
     data = np.empty((K, len(freqs), n_nodes), dtype=complex)
     for j, f in enumerate(freqs):
         A = G + (2j * math.pi * float(f)) * C
-        X = _solve_stack(A, b_ac)
+        X = _solve_stack(factorize_stack(A), b_ac)
         data[:, j, :] = X[:, :n_nodes]
     return [
         AcResult(freqs, {net: data[k, :, i]
@@ -473,16 +488,20 @@ def batched_ac(circuits, freqs, ops=None,
 
 def batched_noise(circuits, out: str, freqs, ops=None,
                   plan: StampPlan | None = None) -> list[NoiseResult]:
-    """Stacked noise sweep: one adjoint + one gain stack solve per
-    frequency, mirroring the scalar adjoint-transfer trick
-    (:mod:`repro.analysis.noise`) across the batch axis."""
-    circuits = list(circuits)
+    """Stacked noise sweep mirroring the scalar adjoint-transfer trick
+    (:mod:`repro.analysis.noise`) across the batch axis: one stacked
+    factorization of ``G + jωC`` per frequency serves the adjoint
+    (``Aᴴ``) solve and the gain solve."""
+    return _noise(list(circuits), out, freqs, ops, plan, None)
+
+
+def _noise(circuits, out, freqs, ops, plan, params) -> list[NoiseResult]:
     freqs = np.asarray(freqs, dtype=float)
-    if plan is None:
-        plan = StampPlan(circuits[0])
-    if not plan.nonlinear and ops is None:
-        G, C, _, b_ac = plan.assemble(plan.param_block(circuits))
-        system = plan.system
+    G, C, b_ac, system, sss = _stacked_linearization(circuits, ops, plan,
+                                                     params)
+    if sss is not None:
+        member_injections = [_noise_injections(ss) for ss in sss]
+    else:
         # Linear topology: the only noisy elements are resistors, whose
         # injections depend on values alone — no DC solve needed.
         member_injections = []
@@ -494,15 +513,6 @@ def batched_noise(circuits, out: str, freqs, ops=None,
                     injections[(dev.name, "thermal")] = (
                         a, b, _const_psd(FOUR_KT / dev.value))
             member_injections.append(injections)
-    else:
-        if ops is None:
-            ops = [None] * len(circuits)
-        sss = [small_signal_system(c, op) for c, op in zip(circuits, ops)]
-        G = np.stack([ss.G for ss in sss])
-        C = np.stack([ss.C for ss in sss])
-        b_ac = np.stack([ss.b_ac for ss in sss])
-        system = sss[0].system
-        member_injections = [_noise_injections(ss) for ss in sss]
 
     iout = system.node(out)
     if iout < 0:
@@ -518,9 +528,8 @@ def batched_noise(circuits, out: str, freqs, ops=None,
     e[iout] = 1.0
     for j, f in enumerate(freqs):
         f = float(f)
-        A = G + (2j * math.pi * f) * C
-        AH = np.conj(np.transpose(A, (0, 2, 1)))
-        Z = _solve_stack(AH, e)
+        lu = factorize_stack(G + (2j * math.pi * f) * C)
+        Z = _solve_stack(lu, e, trans="H")
         for k in range(K):
             zk = Z[k]
             for key, (a, b, psd_fn) in member_injections[k].items():
@@ -528,7 +537,7 @@ def batched_noise(circuits, out: str, freqs, ops=None,
                 zb = zk[b] if b >= 0 else 0.0
                 psd_per[k][key][j] = abs(np.conj(za - zb)) ** 2 * psd_fn(f)
         if any_input:
-            X = _solve_stack(A, b_ac)
+            X = _solve_stack(lu, b_ac)
             gain[:, j] = np.abs(X[:, iout])
 
     results = []
@@ -557,16 +566,20 @@ def batched_transient(circuits, t_stop: float, dt: float,
     member raises :class:`BatchSingularError` and :func:`run_batch`
     replays the whole batch through the scalar integrator instead.
     """
+    circuits = list(circuits)
+    return _transient(circuits, t_stop, dt, use_ic_op,
+                      *_planned(circuits, plan))
+
+
+def _transient(circuits, t_stop, dt, use_ic_op, plan,
+               params) -> list[TransientResult]:
     if t_stop <= 0 or dt <= 0:
         raise ValueError("t_stop and dt must be positive")
-    circuits = list(circuits)
-    if plan is None:
-        plan = StampPlan(circuits[0])
     _require_linear(plan, "batched_transient")
     system = plan.system
     K, n = len(circuits), plan.size
     n_nodes = plan.n_nodes
-    G, C, _, _ = plan.assemble(plan.param_block(circuits))
+    G, C, _, _ = plan.assemble(params)
     member_sources = [
         [d for d in _flat(c).devices
          if isinstance(d, (VoltageSource, CurrentSource))]
@@ -575,27 +588,14 @@ def batched_transient(circuits, t_stop: float, dt: float,
 
     if use_ic_op:
         ic_circuits = [c.map_devices(_source_at_time_zero) for c in circuits]
-        ic_ops = batched_dc(ic_circuits, plan=plan)
+        ic_ops = _dc(plan, plan.param_block(ic_circuits))
         X = np.stack([op.x for op in ic_ops])
     else:
         X = np.zeros((K, n))
 
     def rhs_stack(t: float) -> np.ndarray:
-        B = np.zeros((K, n))
-        for k, sources in enumerate(member_sources):
-            bk = B[k]
-            for dev in sources:
-                value = dev.waveform.value_at(t, dev.dc)
-                if isinstance(dev, VoltageSource):
-                    bk[system.branch_index[dev.name]] += value
-                else:
-                    a = system.node(dev.nodes[0])
-                    b = system.node(dev.nodes[1])
-                    if a >= 0:
-                        bk[a] -= value
-                    if b >= 0:
-                        bk[b] += value
-        return B
+        return np.stack([_rhs_at_time(system, sources, t)
+                         for sources in member_sources])
 
     times = [0.0]
     states = [X.copy()]
@@ -611,7 +611,7 @@ def batched_transient(circuits, t_stop: float, dt: float,
             B0 = rhs_stack(t)
             const = B1 + B0 - _matvec(G, X) + (2.0 / h) * _matvec(C, X)
             A = G + 2.0 * C / h
-        X_target = _solve_stack(A, const)
+        X_target = _solve_stack(factorize_stack(A), const)
         # Same damped update as the scalar Newton loop; for a linear
         # step the target never moves, so this converges in a handful
         # of vector ops.
@@ -667,6 +667,8 @@ def run_batch(circuits, spec, plan: StampPlan | None = None) -> list:
 
     * a singleton batch always delegates to the scalar path
       (bit-identical results by construction);
+    * a batch whose members do not share the plan's topology raises
+      :class:`BatchTopologyError` (checked once, through the plan);
     * nonlinear DC / transient need per-member Newton;
     * warm starts (``x0``) and shared ``op``/``ss`` objects are
       scalar-path concepts;
@@ -682,41 +684,35 @@ def run_batch(circuits, spec, plan: StampPlan | None = None) -> list:
         return []
     if len(circuits) == 1:
         return [api.run(circuits[0], spec)]
-    sig0 = topology_signature(circuits[0])
-    for c in circuits[1:]:
-        if topology_signature(c) != sig0:
-            raise BatchTopologyError(
-                "run_batch needs same-topology circuits; group candidates "
-                "by topology_signature first")
+    # The one topology check: a member that does not match the plan
+    # raises BatchTopologyError here, before any fallback handling.
+    plan, params = _planned(circuits, plan,
+                            getattr(spec, "gmin", GMIN_DEFAULT))
     _count("kernel.run_batch")
 
+    if (getattr(spec, "x0", None) is not None
+            or getattr(spec, "op", None) is not None
+            or getattr(spec, "ss", None) is not None
+            or (plan.nonlinear
+                and isinstance(spec, (api.DcSpec, api.TranSpec)))):
+        return _scalar_loop(circuits, spec)
     try:
         if isinstance(spec, api.DcSpec):
-            if spec.x0 is not None:
-                return _scalar_loop(circuits, spec, "warm start")
-            return batched_dc(circuits, gmin=spec.gmin, plan=plan)
+            return _dc(plan, params)
         if isinstance(spec, api.AcSpec):
-            if spec.op is not None or spec.ss is not None:
-                return _scalar_loop(circuits, spec, "shared op/ss")
-            return batched_ac(circuits, spec.freqs, plan=plan)
+            return _ac(circuits, spec.freqs, None, plan, params)
         if isinstance(spec, api.TranSpec):
-            if spec.x0 is not None:
-                return _scalar_loop(circuits, spec, "warm start")
-            return batched_transient(circuits, spec.t_stop, spec.dt,
-                                     use_ic_op=spec.use_ic_op, plan=plan)
+            return _transient(circuits, spec.t_stop, spec.dt,
+                              spec.use_ic_op, plan, params)
         if isinstance(spec, api.NoiseSpec):
-            if spec.op is not None or spec.ss is not None:
-                return _scalar_loop(circuits, spec, "shared op/ss")
-            return batched_noise(circuits, spec.out, spec.freqs, plan=plan)
-    except BatchTopologyError:
-        return _scalar_loop(circuits, spec, "nonlinear topology")
+            return _noise(circuits, spec.out, spec.freqs, None, plan, params)
     except BatchSingularError:
         _count("kernel.batch_aborts")
-        return _scalar_loop(circuits, spec, "singular member")
+        return _scalar_loop(circuits, spec)
     raise TypeError(f"not an analysis spec: {spec!r}")
 
 
-def _scalar_loop(circuits, spec, reason: str) -> list:
+def _scalar_loop(circuits, spec) -> list:
     from repro.analysis import api
     _count(f"kernel.fallback.{spec.kind}", len(circuits))
     return [api.run(c, spec) for c in circuits]

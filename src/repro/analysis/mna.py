@@ -46,6 +46,19 @@ class SingularCircuitError(NetlistError):
     """Raised when the MNA matrix is structurally or numerically singular."""
 
 
+class BatchSingularError(SingularCircuitError):
+    """Singular member(s) inside a stacked batch solve.
+
+    ``members`` holds the 0-based stack indices of every offending
+    system, so a batched evaluator can drop exactly those candidates to
+    the scalar fallback path and keep the rest vectorized.
+    """
+
+    def __init__(self, message: str, members: tuple[int, ...] = ()):
+        super().__init__(message)
+        self.members = tuple(int(m) for m in members)
+
+
 @dataclass
 class MosOperatingPoint:
     """Small-signal view of one MOSFET at a DC operating point."""
@@ -446,110 +459,3 @@ def mos_capacitances(dev: Mosfet, region: str) -> tuple[float, float, float]:
         return 0.5 * cox_total + cov, 0.5 * cox_total + cov, 0.0
     return cov, cov, cox_total  # cutoff: gate sees bulk
 
-
-def solve_dense(A: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """LU solve with a singularity guard and a helpful error message.
-
-    Every failure mode is normalized onto :class:`SingularCircuitError`:
-    LAPACK's ``LinAlgError`` (singular pivot), non-finite matrix entries
-    (a zero-valued resistor stamps an infinite conductance and LAPACK
-    returns NaNs instead of raising), and non-finite solutions.  Stacked
-    ``(K, n, n)`` inputs are rejected — ``np.linalg.solve`` would happily
-    broadcast them and return a tensor where callers expect a vector; the
-    batched path is :func:`solve_dense_batched`, which also reports
-    *which* member failed.
-    """
-    A = np.asarray(A)
-    if A.ndim != 2:
-        raise ValueError(
-            f"solve_dense expects one (n, n) system, got shape {A.shape}; "
-            f"use solve_dense_batched for stacked (K, n, n) batches")
-    if not np.all(np.isfinite(A)):
-        raise SingularCircuitError(
-            "MNA matrix contains non-finite entries — check for "
-            "zero-valued resistors or capacitors")
-    try:
-        x = np.linalg.solve(A, b)
-    except np.linalg.LinAlgError as exc:
-        raise SingularCircuitError(
-            "MNA matrix is singular — check for floating nodes or "
-            "voltage-source loops") from exc
-    if not np.all(np.isfinite(x)):
-        raise SingularCircuitError("MNA solution contains non-finite values")
-    return x
-
-
-class BatchSingularError(SingularCircuitError):
-    """Singular member(s) inside a stacked batch solve.
-
-    ``members`` holds the 0-based stack indices of every offending
-    system, so a batched evaluator can drop exactly those candidates to
-    the scalar fallback path and keep the rest vectorized.
-    """
-
-    def __init__(self, message: str, members: tuple[int, ...] = ()):
-        super().__init__(message)
-        self.members = tuple(int(m) for m in members)
-
-
-def solve_dense_batched(A: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve ``K`` stacked dense systems ``A[k] @ x[k] = b[k]`` at once.
-
-    ``A`` is ``(K, n, n)``; ``b`` is ``(K, n)`` or a single ``(n,)``
-    right-hand side shared by every member.  Returns the ``(K, n)``
-    solution stack.  One LAPACK call covers the whole batch; on failure
-    the members are probed individually and a :class:`BatchSingularError`
-    names every singular (or non-finite) member so callers can fall back
-    per-point instead of discarding the batch.
-    """
-    A = np.asarray(A)
-    if A.ndim != 3 or A.shape[-1] != A.shape[-2]:
-        raise ValueError(
-            f"solve_dense_batched expects a (K, n, n) stack, got shape "
-            f"{A.shape}; use solve_dense for a single system")
-    b = np.asarray(b)
-    if b.ndim == 1:
-        b = np.broadcast_to(b, (A.shape[0], b.shape[0]))
-    if b.shape != A.shape[:2]:
-        raise ValueError(
-            f"solve_dense_batched: rhs shape {b.shape} does not match "
-            f"matrix stack {A.shape} (expected {A.shape[:2]})")
-    finite_in = np.all(np.isfinite(A), axis=(1, 2))
-    if not np.all(finite_in):
-        bad = tuple(int(k) for k in np.nonzero(~finite_in)[0])
-        raise BatchSingularError(
-            f"batch members {list(bad)} have non-finite MNA entries — "
-            f"check for zero-valued resistors or capacitors", bad)
-    try:
-        # NumPy >= 2.0 treats a 2-D rhs as a broadcast *matrix*; the
-        # explicit column dimension keeps it a stack of vectors.
-        x = np.linalg.solve(A, b[..., None])[..., 0]
-    except np.linalg.LinAlgError as exc:
-        bad = _singular_members(A, b)
-        raise BatchSingularError(
-            f"batch members {list(bad)} are singular — check for floating "
-            f"nodes or voltage-source loops", bad) from exc
-    finite = np.all(np.isfinite(x), axis=1)
-    if not np.all(finite):
-        bad = tuple(int(k) for k in np.nonzero(~finite)[0])
-        raise BatchSingularError(
-            f"batch members {list(bad)} produced non-finite solutions", bad)
-    return x
-
-
-def _singular_members(A: np.ndarray, b: np.ndarray) -> tuple[int, ...]:
-    """Probe each stack member on its own to attribute a batched failure."""
-    bad = []
-    for k in range(A.shape[0]):
-        try:
-            xk = np.linalg.solve(A[k], b[k])
-        except np.linalg.LinAlgError:
-            bad.append(k)
-            continue
-        if not np.all(np.isfinite(xk)):
-            bad.append(k)
-    if not bad:
-        # LAPACK refused the stack but no member reproduces it alone;
-        # blame every member rather than mask the failure.
-        bad = list(range(A.shape[0]))
-    return tuple(bad)

@@ -9,15 +9,19 @@ noise-injection adjoint transfer at that frequency, a transient matrix
 ``G + C/h`` serves every Newton iteration and timestep of a linear
 circuit, the AWE moment recursion reuses one factorization of ``G``, and
 a power grid's conductance matrix serves the IR-drop, EM and droop-bound
-metrics.  Re-factoring per solve (what the seed code did, dense
-``np.linalg.solve`` everywhere) pays the O(n³) cost each time; this
-module pays it once.
+metrics.  Re-factoring per solve (what the seed code did, a fresh
+dense solve everywhere) pays the O(n³) cost each time; this module pays
+it once.
 
-Two pieces:
+Three pieces:
 
+* :class:`DenseLU` — the one dense LU primitive: LAPACK ``getrf`` /
+  ``getrs`` per member of a ``(K, n, n)`` stack.  Scalar solves are
+  K=1 and the batch kernels stack K members, so batched ≡ scalar holds
+  bitwise on any BLAS build and thread count.
 * :class:`FactorizedOperator` — one LU factorization of ``A`` serving
   repeated forward (``A x = b``), transpose (``Aᵀ x = b``) and adjoint
-  (``Aᴴ x = b``) solves.  Dense (``scipy.linalg.lu_factor``) or sparse
+  (``Aᴴ x = b``) solves.  Dense (:class:`DenseLU`) or sparse
   (``scipy.sparse.linalg.splu`` on CSC) storage is auto-selected by
   matrix size and density — cell-level MNA stays dense, power grids go
   sparse — or forced with ``prefer_sparse``.
@@ -38,7 +42,6 @@ serial and parallel runs attribute identically.
 
 from __future__ import annotations
 
-import warnings
 from collections import OrderedDict
 from typing import Any, Callable, Hashable
 
@@ -47,7 +50,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from repro.analysis.mna import SingularCircuitError
+from repro.analysis.mna import BatchSingularError, SingularCircuitError
 from repro.engine.trace import current_tracer
 
 #: Matrices at least this large are candidates for sparse factorization.
@@ -60,10 +63,110 @@ SPARSE_DENSITY_THRESHOLD = 0.25
 DEFAULT_CACHE_ENTRIES = 256
 
 
+# getrf/getrs for the two dtypes MNA systems come in, looked up once.
+_LAPACK = {np.dtype(t): sla.get_lapack_funcs(("getrf", "getrs"), dtype=t)
+           for t in (np.float64, np.complex128)}
+
+_TRANS = {"N": 0, "T": 1, "H": 2}
+
+
 def _count(name: str, n: int = 1) -> None:
     tracer = current_tracer()
     if tracer is not None:
         tracer.count(name, n)
+
+
+class DenseLU:
+    """LAPACK ``getrf`` factors of a ``(K, n, n)`` stack: the one dense LU.
+
+    Every member gets its own ``getrf`` call here and its own ``getrs``
+    call in :meth:`solve`, so member ``k`` is bitwise equal to factoring
+    ``A[k][None]`` alone; a scalar factorization is the K=1 stack.  Bad
+    members are flagged, not raised: ``nonfinite`` (non-finite entries,
+    never handed to LAPACK) and ``singular`` (those, a zero pivot on the
+    ``U`` diagonal — ``getrf``'s ``info > 0`` — or a non-finite factor).
+    """
+
+    def __init__(self, A: np.ndarray):
+        A = np.asarray(A)
+        if A.ndim != 3 or A.shape[1] != A.shape[2]:
+            raise ValueError(
+                f"DenseLU expects a (K, n, n) stack, got shape {A.shape}; "
+                f"factor a single (n, n) system as A[None]")
+        dtype = np.result_type(A.dtype, np.float64)
+        # Column-major members (lu[k] is buf[k].T): getrf works in place.
+        buf = np.empty(A.shape, dtype=dtype)
+        self.lu = buf.transpose(0, 2, 1)
+        self.lu[...] = A
+        self.nonfinite = ~_finite(buf)
+        getrf = _LAPACK[dtype][0]
+        skip = (None, np.zeros(A.shape[1], dtype=np.int32), 0)
+        # Flags go positionally: keyword parsing is a measurable share
+        # of a getrf call on cell-sized systems.
+        factored = [getrf(a, True) if ok and a.size else skip
+                    for a, ok in zip(self.lu, (~self.nonfinite).tolist())]
+        self.piv = [f[1] for f in factored]
+        info = np.array([f[2] for f in factored], dtype=int)
+        self.singular = self.nonfinite | (info != 0) | ~_finite(buf)
+
+    def solve(self, B: np.ndarray, trans: str = "N") -> np.ndarray:
+        """``getrs`` per member: ``X[k]`` solves ``op(A[k]) X[k] = B[k]``,
+        ``op`` chosen by ``trans`` (``"N"``, ``"T"`` or ``"H"``).  ``B`` is
+        ``(K, n)``, ``(K, n, m)`` or one ``(n,)`` shared by every member;
+        the solutions are returned unchecked."""
+        K, n = self.lu.shape[:2]
+        B = np.asarray(B)
+        if B.ndim == 1:
+            B = np.broadcast_to(B, (K, B.shape[0]))
+        if B.shape[:2] != (K, n) or B.ndim > 3:
+            raise ValueError(f"rhs shape {B.shape} does not match the "
+                             f"({K}, {n}, {n}) factor stack")
+        dtype = np.result_type(self.lu.dtype, B.dtype)
+        # Column-major members again: getrs works in place.
+        X = np.empty(B.shape[:1] + B.shape[:0:-1], dtype=dtype).transpose(
+            0, *range(B.ndim - 1, 0, -1))
+        X[...] = B
+        getrs, code = _LAPACK[dtype][1], _TRANS[trans]
+        if n:  # LAPACK rejects empty systems
+            for a, piv, x in zip(self.lu, self.piv, X):
+                getrs(a, piv, x, code, True)  # trans, overwrite_b
+        return X
+
+
+def _finite(stack: np.ndarray) -> np.ndarray:
+    """Per-member finiteness of a ``(K, ...)`` stack (contiguous complex
+    entries are tested as real pairs, which is faster)."""
+    if np.iscomplexobj(stack) and stack.flags.c_contiguous:
+        stack = stack.view(np.float64)
+    return np.isfinite(stack).all(axis=tuple(range(1, stack.ndim)))
+
+
+def _raise_members(bad: np.ndarray, problem: str) -> None:
+    if bad.any():
+        members = tuple(int(k) for k in np.flatnonzero(bad))
+        raise BatchSingularError(f"batch members {list(members)} {problem}",
+                                 members)
+
+
+def factorize_stack(A: np.ndarray) -> DenseLU:
+    """:class:`DenseLU` of a stack, raising
+    :class:`~repro.analysis.mna.BatchSingularError` naming every singular
+    or non-finite member, so a batched evaluator can drop exactly those
+    to the scalar path."""
+    lu = DenseLU(A)
+    _raise_members(lu.singular, "are singular or non-finite — check for "
+                   "floating nodes, voltage-source loops or zero-valued "
+                   "resistors or capacitors")
+    return lu
+
+
+def solve_stack(lu: DenseLU, B: np.ndarray, trans: str = "N") -> np.ndarray:
+    """``lu.solve(B, trans)``, raising
+    :class:`~repro.analysis.mna.BatchSingularError` naming every member
+    whose solution is non-finite."""
+    X = lu.solve(B, trans)
+    _raise_members(~_finite(X), "produced non-finite solutions")
+    return X
 
 
 class FactorizedOperator:
@@ -77,11 +180,9 @@ class FactorizedOperator:
     conjugate-transpose the noise analysis needs).
     """
 
-    _TRANS_DENSE = {"N": 0, "T": 1, "H": 2}
-
     def __init__(self, factors: Any, mode: str, size: int, dtype: np.dtype):
         self._factors = factors
-        self.mode = mode          # "dense" | "sparse"
+        self.mode = mode          # "dense" (a K=1 DenseLU) | "sparse"
         self.size = size
         self.dtype = dtype
 
@@ -90,8 +191,7 @@ class FactorizedOperator:
         _count("solver.solves")
         b = np.asarray(b)
         if self.mode == "dense":
-            x = sla.lu_solve(self._factors, b,
-                             trans=self._TRANS_DENSE[trans])
+            x = self._factors.solve(b[None], trans)[0]
         else:
             if np.iscomplexobj(b) and not np.issubdtype(
                     self.dtype, np.complexfloating):
@@ -131,12 +231,16 @@ def factorize(A: Any, prefer_sparse: bool | None = None) -> FactorizedOperator:
     (``SPARSE_DENSITY_THRESHOLD``); sparse inputs densify when tiny.
     ``prefer_sparse`` overrides the heuristic in either direction.
     Raises :class:`~repro.analysis.mna.SingularCircuitError` for a
-    structurally or numerically singular matrix.
+    structurally or numerically singular matrix, or one with
+    non-finite entries.
     """
+    if len(A.shape) != 2 or A.shape[0] != A.shape[1]:
+        raise ValueError(
+            f"factorize expects one square (n, n) matrix, got shape "
+            f"{A.shape}; stacked (K, n, n) systems go through "
+            f"factorize_stack")
     is_sparse_input = sp.issparse(A)
     n = A.shape[0]
-    if A.shape[0] != A.shape[1]:
-        raise ValueError(f"matrix must be square, got {A.shape}")
     if prefer_sparse is None:
         if is_sparse_input:
             use_sparse = n >= SPARSE_SIZE_THRESHOLD or \
@@ -154,9 +258,7 @@ def factorize(A: Any, prefer_sparse: bool | None = None) -> FactorizedOperator:
         _count("solver.factor_sparse")
         M = sp.csc_matrix(A)
         try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", spla.MatrixRankWarning)
-                factors = spla.splu(M)
+            factors = spla.splu(M)
         except (RuntimeError, ValueError) as exc:
             raise SingularCircuitError(
                 "sparse LU failed — matrix is singular") from exc
@@ -164,18 +266,16 @@ def factorize(A: Any, prefer_sparse: bool | None = None) -> FactorizedOperator:
 
     _count("solver.factor_dense")
     M = A.toarray() if is_sparse_input else np.asarray(A)
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", sla.LinAlgWarning)
-            lu, piv = sla.lu_factor(M)
-    except (ValueError, sla.LinAlgError) as exc:
+    lu = DenseLU(M[None])
+    if lu.nonfinite[0]:
         raise SingularCircuitError(
-            "dense LU failed — matrix is singular") from exc
-    if np.any(np.diag(lu) == 0) or not np.all(np.isfinite(lu)):
+            "MNA matrix contains non-finite entries — check for "
+            "zero-valued resistors or capacitors")
+    if lu.singular[0]:
         raise SingularCircuitError(
             "MNA matrix is singular — check for floating nodes or "
             "voltage-source loops")
-    return FactorizedOperator((lu, piv), "dense", n, M.dtype)
+    return FactorizedOperator(lu, "dense", n, lu.lu.dtype)
 
 
 def solve_once(A: Any, b: np.ndarray,
@@ -241,10 +341,13 @@ class FactorizationCache:
 
 __all__ = [
     "DEFAULT_CACHE_ENTRIES",
+    "DenseLU",
     "FactorizationCache",
     "FactorizedOperator",
     "SPARSE_DENSITY_THRESHOLD",
     "SPARSE_SIZE_THRESHOLD",
     "factorize",
+    "factorize_stack",
     "solve_once",
+    "solve_stack",
 ]

@@ -187,9 +187,9 @@ class BatchEvaluator:
     sweep solved as a batched dense LU.
 
     Every member the kernel cannot take — unbuildable sizing,
-    non-convergent or singular DC, a member :func:`~repro.analysis.mna.
-    solve_dense_batched` flags as singular (removed and the rest
-    retried), or a metric-extraction error — is returned as
+    non-convergent or singular DC, a member the stacked LU
+    (:func:`~repro.analysis.solver.factorize_stack`) flags as singular
+    (removed and the rest retried), or a metric-extraction error — is returned as
     :data:`~repro.engine.core.BATCH_FALLBACK` so the engine re-runs it
     through the ordinary scalar executor path with identical failure
     counting, retry and record semantics.

@@ -15,9 +15,10 @@ Numerical contract (documented in ``repro.analysis.batch``):
 
 * assembled stamps are bitwise identical to ``MnaSystem.linear_stamps``;
 * a singleton batch delegates to the scalar dispatcher bit-identically;
-* K >= 2 batched solves match scalar ones to rtol 1e-9 (the stacked
-  LAPACK ``gesv`` and scipy's LU are different factorization flavours),
-  transient trajectories to rtol 1e-6 (step-by-step accumulation);
+* K >= 2 batched DC, AC and noise results are bitwise identical to the
+  scalar ones (every member goes through the same ``getrf``/``getrs``
+  calls as a scalar solve), transient trajectories match to rtol 1e-6
+  (step-by-step accumulation);
 * within one mode, reruns (and serial vs parallel executors) are
   bit-identical, and so are their manifest digests.
 """
@@ -45,8 +46,13 @@ from repro.analysis.mna import (
     MnaSystem,
     SingularCircuitError,
     mos_capacitances,
-    solve_dense,
-    solve_dense_batched,
+)
+from repro.analysis.solver import (
+    DenseLU,
+    factorize,
+    factorize_stack,
+    solve_once,
+    solve_stack,
 )
 from repro.circuits.library import (
     common_source_amp,
@@ -110,22 +116,17 @@ FACTORS = st.lists(st.floats(min_value=0.1, max_value=8.0,
                    min_size=2, max_size=6)
 
 
-def _assert_op_close(a, b, rtol=RTOL):
-    assert set(a.voltages) == set(b.voltages)
-    for net, v in a.voltages.items():
-        assert v == pytest.approx(b.voltages[net], rel=rtol, abs=1e-15)
-    assert set(a.branch_currents) == set(b.branch_currents)
-    for name, i in a.branch_currents.items():
-        assert i == pytest.approx(b.branch_currents[name], rel=rtol,
-                                  abs=1e-15)
+def _assert_op_equal(a, b):
+    assert a.voltages == b.voltages
+    assert a.branch_currents == b.branch_currents
+    np.testing.assert_array_equal(a.x, b.x)
 
 
-def _assert_ac_close(a, b, rtol=RTOL):
+def _assert_ac_equal(a, b):
     assert np.array_equal(a.freqs, b.freqs)
     assert set(a.phasors) == set(b.phasors)
     for net in a.phasors:
-        np.testing.assert_allclose(a.phasors[net], b.phasors[net],
-                                   rtol=rtol, atol=1e-18)
+        np.testing.assert_array_equal(a.phasors[net], b.phasors[net])
 
 
 # ----------------------------------------------------------------------
@@ -220,7 +221,7 @@ class TestRunBatchConformance:
         batched, counters = _counted(lambda: run_batch(circuits, DcSpec()))
         scalar = [api.run(c, DcSpec()) for c in circuits]
         for b, s in zip(batched, scalar):
-            _assert_op_close(b, s)
+            _assert_op_equal(b, s)
         assert counters["kernel.batched_solves"] == 1
         assert "kernel.fallback.dc" not in counters
 
@@ -230,7 +231,7 @@ class TestRunBatchConformance:
         batched, counters = _counted(lambda: run_batch(circuits, spec))
         scalar = [api.run(c, spec) for c in circuits]
         for b, s in zip(batched, scalar):
-            _assert_ac_close(b, s)
+            _assert_ac_equal(b, s)
         assert counters["kernel.batched_solves"] == len(spec.freqs)
 
     def test_transient_conformance(self):
@@ -252,10 +253,13 @@ class TestRunBatchConformance:
         batched, _ = _counted(lambda: run_batch(circuits, spec))
         scalar = [api.run(c, spec) for c in circuits]
         for b, s in zip(batched, scalar):
-            np.testing.assert_allclose(b.output_psd, s.output_psd,
-                                       rtol=RTOL)
+            np.testing.assert_array_equal(b.output_psd, s.output_psd)
+            by_key = {(c.device, c.kind): c.psd for c in s.contributions}
             assert ({(c.device, c.kind) for c in b.contributions}
-                    == {(c.device, c.kind) for c in s.contributions})
+                    == set(by_key))
+            for c in b.contributions:
+                np.testing.assert_array_equal(c.psd,
+                                              by_key[(c.device, c.kind)])
 
     def test_nonlinear_topology_falls_back_bitwise(self):
         """Nonlinear DC/transient replay the scalar path per member — the
@@ -270,13 +274,13 @@ class TestRunBatchConformance:
 
     def test_nonlinear_ac_stays_batched(self):
         """AC on a MOS topology batches the sweep over per-member
-        linearizations — no fallback, rtol conformance."""
+        linearizations — no fallback, bitwise conformance."""
         circuits = self.circuits(_cs_amp)
         spec = AcSpec(freqs=logspace_frequencies(1e4, 1e9, 3))
         batched, counters = _counted(lambda: run_batch(circuits, spec))
         scalar = [api.run(c, spec) for c in circuits]
         for b, s in zip(batched, scalar):
-            _assert_ac_close(b, s)
+            _assert_ac_equal(b, s)
         assert "kernel.fallback.ac" not in counters
         assert counters["kernel.batched_solves"] == len(spec.freqs)
 
@@ -316,8 +320,16 @@ class TestRunBatchConformance:
                 api.run(circuits[1], spec)
 
     def test_mixed_topology_batch_is_rejected(self):
-        with pytest.raises(BatchTopologyError):
-            run_batch([_rc(1.0), _tank(1.0)], DcSpec())
+        # Checked before any fallback choice: the scalar-path specs and a
+        # nonlinear first member are rejected too.
+        x0 = np.zeros(MnaSystem(_rc(1.0)).size)
+        for circuits, spec in (
+                ([_rc(1.0), _tank(1.0)], DcSpec()),
+                ([_rc(1.0), _tank(1.0)], DcSpec(x0=x0)),
+                ([_rc(1.0), _tank(1.0)], AcSpec(freqs=np.array([1e6]))),
+                ([_cs_amp(1.0), _rc(1.0)], DcSpec())):
+            with pytest.raises(BatchTopologyError):
+                run_batch(circuits, spec)
 
     def test_empty_batch(self):
         assert run_batch([], DcSpec()) == []
@@ -357,36 +369,61 @@ class TestMnaGuards:
         with pytest.raises(ValueError, match="unknown operating region"):
             mos_capacitances(dev, "weak-inversion")
 
-    def test_solve_dense_normalizes_linalgerror(self):
+    def test_scalar_solves_normalize_failures(self):
+        """K=1 failures are plain SingularCircuitError, never the batch
+        subclass, whichever check trips."""
         singular = np.zeros((2, 2))
         with pytest.raises(SingularCircuitError) as err:
-            solve_dense(singular, np.ones(2))
+            solve_once(singular, np.ones(2))
         assert not isinstance(err.value, BatchSingularError)
-        with pytest.raises(SingularCircuitError, match="non-finite"):
-            solve_dense(np.array([[np.inf, 0.0], [0.0, 1.0]]), np.ones(2))
-        with pytest.raises(ValueError, match="solve_dense_batched"):
-            solve_dense(np.zeros((2, 3, 3)), np.ones(3))
+        with pytest.raises(SingularCircuitError, match="non-finite") as err:
+            factorize(np.array([[np.inf, 0.0], [0.0, 1.0]]))
+        assert not isinstance(err.value, BatchSingularError)
+        with pytest.raises(SingularCircuitError, match="non-finite") as err:
+            solve_once(np.eye(2) * 1e-300, np.full(2, 1e300))
+        assert not isinstance(err.value, BatchSingularError)
+        with pytest.raises(ValueError, match="factorize_stack"):
+            factorize(np.zeros((2, 3, 3)))
 
-    def test_solve_dense_batched_names_singular_members(self):
+    def test_stack_names_singular_members(self):
         A = np.stack([np.eye(2), np.zeros((2, 2)), 2 * np.eye(2),
                       np.zeros((2, 2))])
         with pytest.raises(BatchSingularError) as err:
-            solve_dense_batched(A, np.ones(2))
+            factorize_stack(A)
         assert err.value.members == (1, 3)
         bad = np.stack([np.eye(2), np.array([[np.inf, 0], [0, 1]])])
         with pytest.raises(BatchSingularError) as err:
-            solve_dense_batched(bad, np.ones(2))
+            factorize_stack(bad)
         assert err.value.members == (1,)
-        with pytest.raises(ValueError, match="solve_dense"):
-            solve_dense_batched(np.eye(2), np.ones(2))
+        # A finite factor can still overflow its solution.
+        tiny = np.stack([np.eye(2), np.eye(2) * 1e-300])
+        with pytest.raises(BatchSingularError) as err:
+            solve_stack(factorize_stack(tiny), np.full(2, 1e300))
+        assert err.value.members == (1,)
+        with pytest.raises(ValueError, match="stack"):
+            DenseLU(np.eye(2))
+        with pytest.raises(ValueError, match="rhs shape"):
+            factorize_stack(np.stack([np.eye(2)] * 2)).solve(np.ones((3, 2)))
 
-    def test_solve_dense_batched_matches_solve_dense(self):
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_stack_members_equal_scalar_solves_bitwise(self, dtype):
         rng = np.random.default_rng(7)
-        A = rng.normal(size=(5, 4, 4)) + 4 * np.eye(4)
-        b = rng.normal(size=(5, 4))
-        X = solve_dense_batched(A, b)
+        A = (rng.normal(size=(5, 4, 4)) + 4 * np.eye(4)).astype(dtype)
+        if dtype is complex:
+            A += 1j * rng.normal(size=(5, 4, 4))
+        b = rng.normal(size=(5, 4)) + 0j
+        lu = factorize_stack(A)
+        for trans, scalar_solve in (("N", "solve"), ("T", "solve_transpose"),
+                                    ("H", "solve_adjoint")):
+            X = solve_stack(lu, b, trans=trans)
+            for k in range(5):
+                op = factorize(A[k])
+                np.testing.assert_array_equal(
+                    X[k], getattr(op, scalar_solve)(b[k]))
+        # ...and the primitive is a correct solver, checked against numpy.
+        X = solve_stack(lu, b)
         for k in range(5):
-            np.testing.assert_allclose(X[k], solve_dense(A[k], b[k]),
+            np.testing.assert_allclose(X[k], np.linalg.solve(A[k], b[k]),
                                        rtol=RTOL, atol=1e-15)
 
 
@@ -543,16 +580,14 @@ def _run_cell(seed: int, *, batched: bool, executor: str,
     }
 
 
-def _assert_results_conform(scalar, batched, rtol=RTOL):
+def _assert_results_conform(scalar, batched):
     assert len(scalar) == len(batched)
     for s, b in zip(scalar, batched):
         if is_failure(s) or is_failure(b):
             assert is_failure(s) and is_failure(b)
             assert s.exception_type == b.exception_type
             continue
-        assert set(s) == set(b)
-        for name in s:
-            assert b[name] == pytest.approx(s[name], rel=rtol, abs=1e-300)
+        assert b == s
 
 
 class TestEngineDifferential:
@@ -593,7 +628,7 @@ class TestEngineDifferential:
                 else:
                     assert x == y
 
-        # Across modes, per-point conformance at rtol.
+        # Across modes, per-point results are bitwise equal.
         _assert_results_conform(ss["results"], bs["results"])
 
         # Failure records (injected faults) match across all four cells.
@@ -660,8 +695,8 @@ class TestEngineDifferential:
 
     def test_sizing_scalar_vs_batched_without_surrogate(self):
         """Unscreened sizing: the two modes walk the same annealing
-        trajectory on this workload (per-point costs agree to ~1e-9,
-        far below the annealer's acceptance contrasts here)."""
+        trajectory (per-point results are bitwise equal, so every
+        acceptance decision is too)."""
         def run(batched):
             config = EngineConfig(cache=True, batch_kernel=batched)
             sizer = SimulationBasedSizer(
@@ -673,9 +708,9 @@ class TestEngineDifferential:
 
         (rs, _), (rb, rep_b) = run(False), run(True)
         assert rs.evaluations == rb.evaluations
-        assert rb.cost == pytest.approx(rs.cost, rel=1e-6)
-        for name in rs.sizes:
-            assert rb.sizes[name] == pytest.approx(rs.sizes[name], rel=1e-6)
+        assert rb.cost == rs.cost
+        assert rb.sizes == rs.sizes
+        assert rb.history == rs.history
         assert rep_b["kernel"]["batched_points"] > 0
 
 

@@ -1,11 +1,11 @@
 """Differential tests for the shared factor-once/solve-many solver layer.
 
 The layer (:mod:`repro.analysis.solver`) must be *invisible* numerically:
-dense LU, sparse LU and the seed dense path (``np.linalg.solve`` via
-``mna.solve_dense``) agree to solver tolerance on the library circuits
-and on power grids, all three solve directions match their definitional
-``np.linalg.solve`` counterparts, and reusing a cached factorization is
-bit-identical to the first pass.  On top of that the cache's hit/miss
+dense LU, sparse LU and an independent reference (numpy's own
+``np.linalg.solve``, used here on the test side only) agree to solver
+tolerance on the library circuits and on power grids, all three solve
+directions match their definitional ``np.linalg.solve`` counterparts,
+and reusing a cached factorization is bit-identical to the first pass.  On top of that the cache's hit/miss
 accounting — both local and through the tracer — must add up.
 """
 
@@ -21,7 +21,7 @@ from repro.analysis import (
     noise_analysis,
     small_signal_system,
 )
-from repro.analysis.mna import SingularCircuitError, solve_dense
+from repro.analysis.mna import SingularCircuitError
 from repro.analysis.solver import (
     SPARSE_SIZE_THRESHOLD,
     FactorizationCache,
@@ -97,7 +97,7 @@ class TestDifferential:
     @pytest.mark.parametrize("freq", [10.0, 1e5, 1e8])
     def test_library_circuits_all_paths_agree(self, make, freq):
         A, b = _ac_matrix(make(), freq)
-        x_seed = solve_dense(A, b)
+        x_seed = np.linalg.solve(A, b)
         x_dense = factorize(A, prefer_sparse=False).solve(b)
         x_sparse = factorize(A, prefer_sparse=True).solve(b)
         np.testing.assert_allclose(x_dense, x_seed, rtol=1e-9, atol=1e-30)
@@ -141,7 +141,7 @@ class TestDifferential:
     def test_solve_once_matches_seed(self):
         A, b = _ac_matrix(_ota_testbench(), 1e3)
         np.testing.assert_allclose(
-            solve_once(A, b), solve_dense(A, b), rtol=1e-9, atol=1e-30)
+            solve_once(A, b), np.linalg.solve(A, b), rtol=1e-9, atol=1e-30)
 
     def test_auto_selection_by_size_and_density(self):
         small = np.eye(4)
@@ -237,6 +237,31 @@ class TestFactorizationCache:
         # manifest rollup surface like every other analysis.* counter.
         assert "analysis.newton_nonconv" in \
             tracer.telemetry.report()["counters"]
+
+    def test_nonlinear_transient_newton_is_counted(self):
+        """Nonlinear transient Newton solves go through the solver layer,
+        so their factorizations and solves reach the tracer like DC's."""
+        from repro.analysis import transient
+        from repro.circuits.devices import NMOS_DEFAULT, Waveform
+        from repro.circuits.netlist import Circuit
+        c = Circuit("inv")
+        c.vsource("vdd_src", "vdd", "0", dc=3.3)
+        c.vsource("vin", "g", "0", dc=0.0,
+                  waveform=Waveform("pulse", (0, 3.3, 1e-9, 1e-10, 1e-10,
+                                              1e-8, 1)))
+        c.resistor("rl", "vdd", "out", 10e3)
+        c.mosfet("m1", "out", "g", "0", "0", NMOS_DEFAULT, 20e-6, 1e-6)
+        c.capacitor("cl", "out", "0", 10e-15)
+        tracer = Tracer()
+        with tracer.span("tran"):
+            # No initial DC solve: every count comes from the steps.
+            tr = transient(c, 2e-9, 2e-10, use_ic_op=False)
+        t = tracer.telemetry
+        steps = len(tr.times) - 1
+        # At least one Newton iteration per step; each iteration is one
+        # fresh factorization and one solve.
+        assert t.get("solver.factorizations") >= steps
+        assert t.get("solver.solves") == t.get("solver.factorizations")
 
     def test_engine_report_surfaces_solver_rollup(self):
         from repro.engine.schema import check_report, solver_rollup
